@@ -29,7 +29,7 @@ constexpr std::size_t kHeaderBytes = 4096;
 constexpr std::size_t kSlotBytes = 512;
 constexpr std::size_t kMinFileBytes = 1ull << 20;
 constexpr std::size_t kMinSlots = 64;
-/// RRType sentinel marking a zone-serial slot's probe identity; real
+/// RRType sentinel marking a zone-serial slot's identity; real
 /// record types never reach 0xFFFF in this codebase.
 constexpr uint16_t kZoneType = 0xFFFF;
 
@@ -107,6 +107,20 @@ uint64_t zone_slot_hash(const dns::Name& zone) {
 
 uint32_t slot_crc(const uint8_t* slot) {
   return util::crc32({slot, kTickOffset});
+}
+
+/// The entry's metadata fields: everything but the identity (state, key,
+/// name, type, class) and the slab reference.
+void fill_header(SlotHeader& sh, const server::CacheEntry& entry) {
+  sh.inserted_at = entry.inserted_at;
+  sh.expiry = entry.expiry;
+  sh.ttl = entry.rrset.ttl;
+  sh.negative = entry.negative ? 1 : 0;
+  sh.negative_rcode = static_cast<uint8_t>(entry.negative_rcode);
+  sh.has_lease = entry.lease.has_value() ? 1 : 0;
+  sh.lease_expiry = entry.lease.has_value() ? entry.lease->expiry : 0;
+  sh.lease_ip = entry.lease.has_value() ? entry.lease->authority.ip : 0;
+  sh.lease_port = entry.lease.has_value() ? entry.lease->authority.port : 0;
 }
 
 }  // namespace
@@ -234,7 +248,13 @@ void MmapCacheStore::reset_image(int64_t wall_now) {
   std::memset(map_ + kHeaderBytes, 0, slot_count_ * kSlotBytes);
   slab_used_ = 0;
   slots_used_ = 0;
-  lru_tick_ = 0;
+  // Every slot is free; handing them out from the back of the list
+  // fills the table front to back.
+  free_slots_.resize(slot_count_);
+  for (std::size_t i = 0; i < slot_count_; ++i) {
+    free_slots_[i] = static_cast<uint32_t>(slot_count_ - 1 - i);
+  }
+  zone_slots_.clear();
   // Anchor: wall_now corresponds to the adopting runtime's options_.now,
   // so SimTime 0 maps to wall_now - now.
   wall_epoch_us_ = wall_now - options_.now;
@@ -347,17 +367,23 @@ void MmapCacheStore::load_image(int64_t wall_now) {
         std::move(entry), tick});
   }
 
-  // Adopt into the heap structures in LRU-tick order: pushing each entry
-  // to the LRU front in ascending-tick order leaves the most recently
-  // used entry at the front, reproducing the pre-restart eviction order.
+  // Adopt into the heap structures in LRU-tick order: each adoption
+  // becomes the most recent, so ascending-tick order reproduces the
+  // pre-restart recency order — and, through the lease index built by
+  // reindex(), the pre-restart eviction order.
   std::stable_sort(loaded.begin(), loaded.end(),
                    [](const Loaded& a, const Loaded& b) {
                      return a.tick < b.tick;
                    });
+  std::vector<Node*> adopted;
+  adopted.reserve(loaded.size());
   for (Loaded& item : loaded) {
-    lru_.push_front(item.key);
-    entries_.emplace(std::move(item.key),
-                     Node{std::move(item.entry), lru_.begin()});
+    bool inserted = false;
+    Node& node = emplace_node(item.key, inserted);
+    if (!inserted) continue;  // duplicate image of one key: first wins
+    static_cast<server::CacheEntry&>(node) = std::move(item.entry);
+    reindex(node);
+    adopted.push_back(&node);
   }
   for (auto& [zone, serial] : zones) zone_serials_[zone] = serial;
 
@@ -370,44 +396,10 @@ void MmapCacheStore::load_image(int64_t wall_now) {
   // new-clock times, so the old-epoch slots must not survive alongside
   // them.  The rewrite also compacts the slab and clears tombstones.
   reset_image(wall_now);
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    persist_entry(*it, entries_.at(*it).entry);
-  }
+  for (Node* node : adopted) persist_entry(*node, Change::kData);
   for (const auto& [zone, serial] : zone_serials_) {
     persist_zone(zone, serial);
   }
-}
-
-std::size_t MmapCacheStore::probe(uint64_t key_hash, uint32_t want_state,
-                                  std::string_view name_text, uint16_t rrtype,
-                                  std::size_t* insert_at) const {
-  const std::size_t mask = slot_count_ - 1;
-  bool have_insert = false;
-  for (std::size_t i = 0; i < slot_count_; ++i) {
-    const std::size_t idx = (key_hash + i) & mask;
-    const uint8_t* slot = slot_ptr(idx);
-    SlotHeader sh{};
-    std::memcpy(&sh, slot, sizeof sh);
-    if (sh.state == kFree) {
-      if (insert_at != nullptr && !have_insert) *insert_at = idx;
-      return slot_count_;
-    }
-    if (sh.state == kDead) {
-      if (insert_at != nullptr && !have_insert) {
-        *insert_at = idx;
-        have_insert = true;
-      }
-      continue;
-    }
-    if (sh.state == want_state && sh.key_hash == key_hash &&
-        sh.rrtype == rrtype && sh.name_len == name_text.size() &&
-        std::memcmp(slot + kNameOffset, name_text.data(),
-                    name_text.size()) == 0) {
-      return idx;
-    }
-  }
-  if (insert_at != nullptr && !have_insert) *insert_at = slot_count_;
-  return slot_count_;
 }
 
 bool MmapCacheStore::slab_append(std::span<const uint8_t> payload,
@@ -478,47 +470,54 @@ void MmapCacheStore::kill_slot(std::size_t index) {
   const uint32_t crc = slot_crc(image.data());
   std::memcpy(image.data() + kSlotCrcOffset, &crc, sizeof crc);
   write_slot(index, image);
+  free_slots_.push_back(static_cast<uint32_t>(index));
   if (slots_used_ > 0) --slots_used_;
   slots_used_gauge_.set(static_cast<double>(slots_used_));
 }
 
-void MmapCacheStore::persist_entry(const server::CacheKey& key,
-                                   const server::CacheEntry& entry) {
-  const std::string text = lower(key.name.to_string());
-  if (text.empty() || text.size() > kMaxNameText) return;
-  const uint64_t hash = server::CacheKeyHash{}(key);
-  const auto rrtype = static_cast<uint16_t>(key.type);
-
-  std::size_t insert_at = slot_count_;
-  const std::size_t existing = probe(hash, kUsed, text, rrtype, &insert_at);
-  const std::size_t target = existing != slot_count_ ? existing : insert_at;
-  if (target == slot_count_) {
+bool MmapCacheStore::take_slot(uint32_t* index) {
+  if (free_slots_.empty()) {
     ++persist_failed_table_;
+    return false;
+  }
+  *index = free_slots_.back();
+  free_slots_.pop_back();
+  ++slots_used_;
+  slots_used_gauge_.set(static_cast<double>(slots_used_));
+  return true;
+}
+
+void MmapCacheStore::persist_entry(Node& node, Change change) {
+  if (change == Change::kLease && node.mirror_slot != kNoSlot) {
+    // Only lease / expiry metadata moved: rewrite the slot header and its
+    // CRC in place, keeping the slab reference (offset, length, CRC) — no
+    // re-encode, no slab append.
+    uint8_t* slot = slot_ptr(node.mirror_slot);
+    SlotHeader sh{};
+    std::memcpy(&sh, slot, sizeof sh);
+    fill_header(sh, node);
+    std::memcpy(slot, &sh, sizeof sh);
+    const uint32_t crc = slot_crc(slot);
+    std::memcpy(slot + kSlotCrcOffset, &crc, sizeof crc);
     return;
   }
 
+  const server::CacheKey& key = *node.key;
+  const std::string text = lower(key.name.to_string());
+  if (text.empty() || text.size() > kMaxNameText) return;
+
   SlotHeader sh{};
   sh.state = kUsed;
-  sh.key_hash = hash;
-  sh.inserted_at = entry.inserted_at;
-  sh.expiry = entry.expiry;
-  sh.ttl = entry.rrset.ttl;
+  sh.key_hash = server::CacheKeyHash{}(key);
   sh.name_len = static_cast<uint16_t>(text.size());
-  sh.rrtype = rrtype;
-  sh.rrclass = static_cast<uint16_t>(entry.rrset.rrclass);
-  sh.negative = entry.negative ? 1 : 0;
-  sh.negative_rcode = static_cast<uint8_t>(entry.negative_rcode);
-  if (entry.lease.has_value()) {
-    sh.has_lease = 1;
-    sh.lease_expiry = entry.lease->expiry;
-    sh.lease_ip = entry.lease->authority.ip;
-    sh.lease_port = entry.lease->authority.port;
-  }
+  sh.rrtype = static_cast<uint16_t>(key.type);
+  sh.rrclass = static_cast<uint16_t>(node.rrset.rrclass);
+  fill_header(sh, node);
 
-  if (!entry.negative && !entry.rrset.empty()) {
+  if (!node.negative && !node.rrset.empty()) {
     dns::ByteWriter writer;
     writer.begin_message();
-    dns::encode_rrset(entry.rrset, writer);
+    dns::encode_rrset(node.rrset, writer);
     const std::span<const uint8_t> payload = writer.message();
     uint64_t off = 0;
     if (!slab_append(payload, &off)) {
@@ -526,44 +525,41 @@ void MmapCacheStore::persist_entry(const server::CacheKey& key,
       // If a previous image of it exists, kill that image — serving a
       // stale persisted copy after a restart would be worse than a miss.
       ++persist_failed_slab_;
-      if (existing != slot_count_) kill_slot(existing);
+      if (node.mirror_slot != kNoSlot) {
+        kill_slot(node.mirror_slot);
+        node.mirror_slot = kNoSlot;
+      }
       return;
     }
     sh.slab_off = off;
     sh.slab_len = static_cast<uint32_t>(payload.size());
     sh.slab_crc = util::crc32(payload);
   }
+  if (node.mirror_slot == kNoSlot && !take_slot(&node.mirror_slot)) return;
 
   std::array<uint8_t, kSlotBytes> image{};
   std::memcpy(image.data(), &sh, sizeof sh);
   std::memcpy(image.data() + kNameOffset, text.data(), text.size());
-  const uint64_t tick = ++lru_tick_;
-  std::memcpy(image.data() + kTickOffset, &tick, sizeof tick);
+  std::memcpy(image.data() + kTickOffset, &node.stamp, sizeof node.stamp);
   const uint32_t crc = slot_crc(image.data());
   std::memcpy(image.data() + kSlotCrcOffset, &crc, sizeof crc);
-  write_slot(target, image);
-  if (existing == slot_count_) {
-    ++slots_used_;
-    slots_used_gauge_.set(static_cast<double>(slots_used_));
-  }
+  write_slot(node.mirror_slot, image);
 }
 
 void MmapCacheStore::persist_zone(const dns::Name& zone, uint32_t serial) {
   const std::string text = lower(zone.to_string());
   if (text.empty() || text.size() > kMaxNameText) return;
-  const uint64_t hash = zone_slot_hash(zone);
 
-  std::size_t insert_at = slot_count_;
-  const std::size_t existing = probe(hash, kZone, text, kZoneType, &insert_at);
-  const std::size_t target = existing != slot_count_ ? existing : insert_at;
-  if (target == slot_count_) {
-    ++persist_failed_table_;
-    return;
+  auto it = zone_slots_.find(zone);
+  if (it == zone_slots_.end()) {
+    uint32_t index = 0;
+    if (!take_slot(&index)) return;
+    it = zone_slots_.emplace(zone, index).first;
   }
 
   SlotHeader sh{};
   sh.state = kZone;
-  sh.key_hash = hash;
+  sh.key_hash = zone_slot_hash(zone);
   sh.ttl = serial;
   sh.name_len = static_cast<uint16_t>(text.size());
   sh.rrtype = kZoneType;
@@ -573,40 +569,31 @@ void MmapCacheStore::persist_zone(const dns::Name& zone, uint32_t serial) {
   std::memcpy(image.data() + kNameOffset, text.data(), text.size());
   const uint32_t crc = slot_crc(image.data());
   std::memcpy(image.data() + kSlotCrcOffset, &crc, sizeof crc);
-  write_slot(target, image);
-  if (existing == slot_count_) {
-    ++slots_used_;
-    slots_used_gauge_.set(static_cast<double>(slots_used_));
-  }
+  write_slot(it->second, image);
 }
 
-void MmapCacheStore::commit(const server::CacheKey& key) {
-  const server::CacheEntry* entry = HeapCacheStore::find(key);
-  if (entry == nullptr) return;
-  persist_entry(key, *entry);
+void MmapCacheStore::commit(server::CacheEntry& entry, Change change) {
+  HeapCacheStore::commit(entry, change);
+  persist_entry(node_of(entry), change);
 }
 
 bool MmapCacheStore::erase(const server::CacheKey& key) {
-  const std::string text = lower(key.name.to_string());
-  const uint64_t hash = server::CacheKeyHash{}(key);
-  if (!HeapCacheStore::erase(key)) return false;
-  const std::size_t idx = probe(hash, kUsed, text,
-                                static_cast<uint16_t>(key.type), nullptr);
-  if (idx != slot_count_) kill_slot(idx);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return false;
+  const uint32_t slot = it->second.mirror_slot;
+  erase_node(it);
+  if (slot != kNoSlot) kill_slot(slot);
   return true;
 }
 
-void MmapCacheStore::touch(const server::CacheKey& key) {
-  HeapCacheStore::touch(key);
-  const std::string text = lower(key.name.to_string());
-  const uint64_t hash = server::CacheKeyHash{}(key);
-  const std::size_t idx = probe(hash, kUsed, text,
-                                static_cast<uint16_t>(key.type), nullptr);
-  if (idx == slot_count_) return;
-  // Outside the CRC-covered range by design: the per-hit cost is one
-  // probe plus one u64 store, no checksum recomputation.
-  const uint64_t tick = ++lru_tick_;
-  std::memcpy(slot_ptr(idx) + kTickOffset, &tick, sizeof tick);
+void MmapCacheStore::touch(server::CacheEntry& entry) {
+  HeapCacheStore::touch(entry);
+  const Node& node = node_of(entry);
+  if (node.mirror_slot == kNoSlot) return;
+  // Outside the CRC-covered range by design: the per-hit cost is one u64
+  // store of the entry's new recency stamp, no checksum recomputation.
+  std::memcpy(slot_ptr(node.mirror_slot) + kTickOffset, &node.stamp,
+              sizeof node.stamp);
 }
 
 void MmapCacheStore::put_zone_serial(const dns::Name& zone, uint32_t serial) {

@@ -8,18 +8,24 @@
 //
 //   [ header page, 4 KiB ]   magic, version, geometry, slab bump pointer,
 //                            wall-clock epoch, CRC
-//   [ slot table ]           slot_count × 512 B fixed slots, open-addressed
-//                            (linear probing) on the splitmix64-mixed
-//                            CacheKeyHash; each slot carries the entry's
-//                            metadata + name text, a CRC over everything
-//                            but the LRU tick, and a (offset, length, CRC)
-//                            reference into the slab
+//   [ slot table ]           slot_count × 512 B fixed slots, handed out
+//                            from a free list; each slot carries the
+//                            entry's metadata + name text + CacheKeyHash,
+//                            a CRC over everything but the LRU tick (the
+//                            entry's recency stamp), and a (offset,
+//                            length, CRC) reference into the slab
 //   [ slab arena ]           bump-allocated RRset wire data — the PR-4
 //                            ByteWriter encode path (encode_rrset), one
 //                            self-contained message per entry
 //
 // Zone serials ride in the same slot table as state=kZone slots, so the
 // "highest serial applied" sidecar survives restarts too.
+//
+// The heap node of every mirrored entry remembers its slot index, so a
+// touch is one u64 store into the slot, an erase tombstones the slot
+// directly, and a lease-only commit rewrites the slot header in place —
+// none of them re-probes or re-encodes.  The table is never searched by
+// key: load scans it linearly.
 //
 // open() validates magic/version/geometry/CRC and falls back to a clean
 // cold image on any mismatch; on a valid image it adopts every intact
@@ -35,9 +41,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "server/cache_store.h"
 #include "util/metrics.h"
@@ -86,12 +94,14 @@ class MmapCacheStore final : public server::HeapCacheStore {
 
   ~MmapCacheStore() override;
 
-  // CacheStoreBackend — lookup/LRU/eviction behavior is inherited from
-  // HeapCacheStore verbatim; only the mutating calls add a file mirror.
+  // CacheStoreBackend — lookup/recency/eviction behavior is inherited
+  // from HeapCacheStore verbatim; only the mutating calls add a file
+  // mirror, addressed through each entry's remembered slot index.
+  using HeapCacheStore::touch;
   std::string_view name() const override { return "mmap"; }
-  void commit(const server::CacheKey& key) override;
+  void commit(server::CacheEntry& entry, Change change) override;
   bool erase(const server::CacheKey& key) override;
-  void touch(const server::CacheKey& key) override;
+  void touch(server::CacheEntry& entry) override;
   void put_zone_serial(const dns::Name& zone, uint32_t serial) override;
 
   const LoadReport& load_report() const { return load_; }
@@ -115,20 +125,19 @@ class MmapCacheStore final : public server::HeapCacheStore {
   void write_header();
 
   uint8_t* slot_ptr(std::size_t index) const;
-  /// Probes for the slot holding `key_hash` + matching identity;
-  /// `insert_at` (may be null) receives the best insertion slot (first
-  /// dead/free seen).  Returns slot_count() when not found.
-  std::size_t probe(uint64_t key_hash, uint32_t want_state,
-                    std::string_view name_text, uint16_t rrtype,
-                    std::size_t* insert_at) const;
+  /// Pops a free slot into `index` (counted as used); false, counted as a
+  /// table-full persist failure, when none is left.
+  bool take_slot(uint32_t* index);
   /// Appends `payload` to the slab, compacting once if full.  Returns
   /// false (persist failure) when the slab cannot take it even compacted.
   bool slab_append(std::span<const uint8_t> payload, uint64_t* off);
   void compact_slab();
   void write_slot(std::size_t index, std::span<const uint8_t> image);
+  /// Tombstones a slot and returns it to the free list.
   void kill_slot(std::size_t index);
-  void persist_entry(const server::CacheKey& key,
-                     const server::CacheEntry& entry);
+  /// Mirrors `node` into its slot (taking one on first persist).  kLease
+  /// rewrites only the slot header and CRC, keeping the slab reference.
+  void persist_entry(Node& node, Change change);
   void persist_zone(const dns::Name& zone, uint32_t serial);
 
   Options options_;
@@ -140,8 +149,12 @@ class MmapCacheStore final : public server::HeapCacheStore {
   std::size_t slab_bytes_ = 0;
   uint64_t slab_used_ = 0;
   int64_t wall_epoch_us_ = 0;    ///< CLOCK_REALTIME µs at SimTime 0
-  uint64_t lru_tick_ = 0;        ///< monotone LRU stamp for slot ordering
   std::size_t slots_used_ = 0;
+  /// Slots holding neither an entry nor a zone serial (free or dead);
+  /// the back is handed out next.
+  std::vector<uint32_t> free_slots_;
+  /// Slot of each persisted zone serial.
+  std::map<dns::Name, uint32_t> zone_slots_;
   LoadReport load_;
 
   metrics::Gauge file_bytes_gauge_;

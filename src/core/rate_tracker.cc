@@ -59,12 +59,21 @@ void RateTracker::trim(SampleRing& times, net::SimTime now) const {
 double RateTracker::rate(const dns::Name& name, dns::RRType type,
                          net::SimTime now) const {
   auto it = samples_.find(Key{name, type});
-  if (it == samples_.end()) return 0.0;
+  return it == samples_.end() ? 0.0 : rate_of(it->second, now);
+}
+
+double RateTracker::rate_view(const dns::NameView& name, dns::RRType type,
+                              net::SimTime now) const {
+  auto it = samples_.find(KeyView{name, type});
+  return it == samples_.end() ? 0.0 : rate_of(it->second, now);
+}
+
+double RateTracker::rate_of(const SampleRing& times, net::SimTime now) const {
   // Count in-window samples without mutating state (const method).
   const net::SimTime horizon = now - window_;
   std::size_t live = 0;
-  for (std::size_t i = 0; i < it->second.size(); ++i) {
-    if (it->second.at(i) >= horizon) ++live;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    if (times.at(i) >= horizon) ++live;
   }
   if (live == 0) return 0.0;
   return static_cast<double>(live) / net::to_seconds(window_);

@@ -91,6 +91,9 @@ class RateTracker {
   /// With zero or one retained sample the estimate is count/window.
   double rate(const dns::Name& name, dns::RRType type,
               net::SimTime now) const;
+  /// rate() probed by view (no allocation).
+  double rate_view(const dns::NameView& name, dns::RRType type,
+                   net::SimTime now) const;
 
   /// Number of events retained in-window for the key.
   std::size_t count(const dns::Name& name, dns::RRType type,
@@ -149,6 +152,7 @@ class RateTracker {
   };
 
   void trim(SampleRing& times, net::SimTime now) const;
+  double rate_of(const SampleRing& times, net::SimTime now) const;
   /// True when a new key may be inserted (prunes first when at the cap).
   bool admit_new_key(net::SimTime now);
   void maybe_auto_prune(net::SimTime now);

@@ -287,6 +287,36 @@ std::string Message::to_string() const {
   return os.str();
 }
 
+bool PlainQuery::parse(std::span<const uint8_t> wire, PlainQuery& out) {
+  if (wire.size() < 12) return false;
+  const auto be16 = [&wire](std::size_t i) {
+    return static_cast<uint16_t>(wire[i] << 8 | wire[i + 1]);
+  };
+  out.id = be16(0);
+  out.flags = Flags::unpack(be16(2));
+  if (out.flags.qr || out.flags.ext || out.flags.opcode != Opcode::kQuery) {
+    return false;
+  }
+  if (be16(4) != 1 || be16(6) != 0 || be16(8) != 0 || be16(10) != 0) {
+    return false;  // exactly one question, no other sections
+  }
+  ByteReader r(wire);
+  (void)r.seek(12);
+  if (!r.name_view(out.qname).ok()) return false;
+  if (r.offset() != 12 + out.qname.wire_length()) return false;  // pointer
+  const auto qtype = r.u16();
+  if (!qtype.ok()) return false;
+  if (!r.u16().ok()) return false;  // qclass: echoed with the question
+  if (!r.at_end()) return false;    // trailing bytes: the slow path decides
+  out.qtype = static_cast<RRType>(qtype.value());
+  if (out.qtype == RRType::kANY || out.qtype == RRType::kAXFR ||
+      out.qtype == RRType::kIXFR || out.qtype == RRType::kOPT) {
+    return false;
+  }
+  out.question_len = r.offset() - 12;
+  return true;
+}
+
 Message make_response(const Message& request) {
   Message resp;
   resp.id = request.id;

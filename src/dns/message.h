@@ -181,6 +181,22 @@ struct MessageView {
   util::Result<Message> materialize() const;
 };
 
+/// A plain query parsed in place, as the serve fast paths take it
+/// (AuthServer::try_fast_query, CachingResolver::try_fast_answer): not a
+/// response, not EXT, opcode QUERY, exactly one question and no other
+/// section, a pointer-free qname (so the question bytes can be echoed
+/// verbatim), no trailing bytes, and a qtype other than ANY/AXFR/IXFR/OPT.
+struct PlainQuery {
+  uint16_t id = 0;
+  Flags flags;
+  NameView qname;  ///< labels point into the wire buffer
+  RRType qtype = RRType::kA;
+  std::size_t question_len = 0;  ///< the question is wire[12, 12 + len)
+
+  /// False, with `out` unspecified, for anything but a plain query.
+  static bool parse(std::span<const uint8_t> wire, PlainQuery& out);
+};
+
 /// Builds a response skeleton: copies id, question(s) and opcode, sets QR,
 /// mirrors RD, and sets the EXT flag iff the request carried it.
 Message make_response(const Message& request);

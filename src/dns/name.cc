@@ -216,6 +216,14 @@ void NameView::push_label(std::string_view label) {
   labels_[count_++] = label;
 }
 
+NameView NameView::of(const Name& name) {
+  NameView view;
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    view.push_label(name.label(i));
+  }
+  return view;
+}
+
 Name NameView::materialize() const {
   std::vector<std::string> labels;
   labels.reserve(count_);

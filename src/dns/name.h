@@ -92,6 +92,9 @@ class NameView {
 
   NameView() = default;
 
+  /// A view of an owning Name's labels, valid while `name` lives.
+  static NameView of(const Name& name);
+
   bool is_root() const { return count_ == 0; }
   std::size_t label_count() const { return count_; }
   std::string_view label(std::size_t i) const { return labels_[i]; }

@@ -77,8 +77,12 @@ void encode_record(const ResourceRecord& rr, ByteWriter& writer) {
 }
 
 void encode_rrset(const RRset& set, ByteWriter& writer) {
+  encode_rrset(set, set.ttl, writer);
+}
+
+void encode_rrset(const RRset& set, uint32_t ttl, ByteWriter& writer) {
   for (const auto& rd : set.rdatas) {
-    encode_record_parts(set.name, set.type, set.rrclass, set.ttl, rd, writer);
+    encode_record_parts(set.name, set.type, set.rrclass, ttl, rd, writer);
   }
 }
 

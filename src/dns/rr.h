@@ -66,6 +66,10 @@ void encode_record(const ResourceRecord& rr, ByteWriter& writer);
 /// to calling encode_record on each of set.to_records().
 void encode_rrset(const RRset& set, ByteWriter& writer);
 
+/// encode_rrset with every record's TTL written as `ttl` (a cache serving
+/// the remaining TTL) — no copy of the set.
+void encode_rrset(const RRset& set, uint32_t ttl, ByteWriter& writer);
+
 /// Decodes one record at the reader's cursor.
 util::Result<ResourceRecord> decode_record(ByteReader& reader);
 

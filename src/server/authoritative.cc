@@ -211,33 +211,10 @@ bool AuthServer::try_fast_query(const net::Endpoint& from,
   if (round_robin_) return false;
   if (query_hook_ && !fast_query_hook_) return false;
   if (extension_handler_ && ext_consumes_queries_) return false;
-  if (data.size() < 12) return false;
-
-  const auto be16 = [&data](std::size_t i) {
-    return static_cast<uint16_t>(data[i] << 8 | data[i + 1]);
-  };
-  const uint16_t id = be16(0);
-  const dns::Flags flags = dns::Flags::unpack(be16(2));
-  if (flags.qr || flags.ext || flags.opcode != Opcode::kQuery) return false;
-  if (be16(4) != 1 || be16(6) != 0 || be16(8) != 0 || be16(10) != 0) {
-    return false;  // exactly one question, no other sections
-  }
-
-  dns::ByteReader r(data);
-  (void)r.seek(12);
-  dns::NameView qname;
-  if (!r.name_view(qname).ok()) return false;
-  // Pointer-free qname required so the question can be byte-echoed below.
-  if (r.offset() != 12 + qname.wire_length()) return false;
-  const auto qtype_raw = r.u16();
-  if (!qtype_raw.ok()) return false;
-  if (!r.u16().ok()) return false;  // qclass (ignored by lookup, as in slow path)
-  if (!r.at_end()) return false;    // trailing bytes: slow path drops as formerr
-  const RRType qtype = static_cast<RRType>(qtype_raw.value());
-  if (qtype == RRType::kANY || qtype == RRType::kAXFR ||
-      qtype == RRType::kIXFR || qtype == RRType::kOPT) {
-    return false;
-  }
+  dns::PlainQuery query;
+  if (!dns::PlainQuery::parse(data, query)) return false;
+  const dns::NameView& qname = query.qname;
+  const RRType qtype = query.qtype;
 
   // Longest-match zone, same rule as find_zone but probing with the view.
   const Zone* zone = nullptr;
@@ -250,13 +227,12 @@ bool AuthServer::try_fast_query(const net::Endpoint& from,
     }
   }
 
-  const std::size_t question_len = r.offset() - 12;
   const auto send_fast = [&](const dns::Flags& rf, const RRset* answer,
                              const RRset* authority) {
     scratch_.clear();
     dns::ByteWriter w(scratch_);
     w.begin_message();
-    w.u16(id);
+    w.u16(query.id);
     w.u16(rf.pack());
     w.u16(1);
     w.u16(answer != nullptr ? static_cast<uint16_t>(answer->size()) : 0);
@@ -266,7 +242,7 @@ bool AuthServer::try_fast_query(const net::Endpoint& from,
     // Echo the question bytes verbatim (identical to re-encoding, since the
     // qname is pointer-free) and register the qname labels as compression
     // targets so record owner names compress exactly as on the slow path.
-    w.bytes(data.subspan(12, question_len));
+    w.bytes(data.subspan(12, query.question_len));
     w.register_name(12);
     if (answer != nullptr) dns::encode_rrset(*answer, w);
     if (authority != nullptr) dns::encode_rrset(*authority, w);
@@ -276,7 +252,7 @@ bool AuthServer::try_fast_query(const net::Endpoint& from,
   dns::Flags rf;
   rf.qr = true;
   rf.opcode = Opcode::kQuery;
-  rf.rd = flags.rd;
+  rf.rd = query.flags.rd;
 
   if (zone == nullptr) {
     ++stats_.queries;

@@ -26,8 +26,9 @@
 #                  planner-enabled dnscupd under TSan driven by dnsflood
 #                  — the single-writer/multi-reader table contract and
 #                  the observation-queue handoff under real load;
-#   --bench-smoke  Release build, assert the serve hot path is
-#                  allocation-free (hot_path_alloc_test), then start a
+#   --bench-smoke  Release build, assert the serve hot paths are
+#                  allocation-free (hot_path_alloc_test for the authority,
+#                  resolver_fast_path_test for cache hits), then start a
 #                  2-worker dnscupd on loopback, drive it with dnsflood
 #                  for 2 s and fail if the lost-answer rate exceeds 1%;
 #                  the JSON result is kept under build/bench/.
@@ -43,8 +44,9 @@
 #   --cachestore   the persistent cache-store leg: the cachestore-labeled
 #                  suites in Release (backend equivalence, warm reload,
 #                  corruption fallback, fork + kill -9 torn-file
-#                  recovery, warm-restart e2e), then cachestore_test +
-#                  cachestore_kill_test under ASan/UBSan — the store is
+#                  recovery, warm-restart e2e, eviction oracle), then
+#                  cachestore_test + cachestore_kill_test +
+#                  cache_eviction_oracle_test under ASan/UBSan — the store is
 #                  raw mmap'd byte layout with CRC plumbing, exactly
 #                  where the sanitizers earn their keep.
 #
@@ -163,14 +165,16 @@ run_bench_smoke() {
   local build_dir="$repo_root/build"
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$build_dir" -j "$jobs" \
-    --target dnscupd dnsflood hot_path_alloc_test
+    --target dnscupd dnsflood hot_path_alloc_test resolver_fast_path_test
   local bench_dir="$build_dir/bench"
   mkdir -p "$bench_dir"
 
   # Steady-state serving must not touch the heap: the counting-allocator
-  # suite fails if any serve-path query allocates after warmup.
+  # suites fail if any authority serve-path query or cache hit allocates
+  # after warmup.
   echo "-- hot-path allocation contract --"
-  ctest --test-dir "$build_dir" -R '^hot_path_alloc_test$' \
+  ctest --test-dir "$build_dir" \
+    -R '^(hot_path_alloc_test|resolver_fast_path_test)$' \
     --output-on-failure
 
   local zone="$bench_dir/smoke.zone"
@@ -306,7 +310,8 @@ run_cachestore() {
   local build_dir="$repo_root/build"
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$build_dir" -j "$jobs" \
-    --target cachestore_test cachestore_kill_test warm_restart_e2e_test
+    --target cachestore_test cachestore_kill_test warm_restart_e2e_test \
+             cache_eviction_oracle_test
   echo "-- cachestore label (Release) --"
   ctest --test-dir "$build_dir" -L cachestore --output-on-failure -j "$jobs"
 
@@ -319,9 +324,9 @@ run_cachestore() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDNSCUP_SANITIZE=address,undefined
   cmake --build "$repo_root/build-store-sanitize" -j "$jobs" \
-    --target cachestore_test cachestore_kill_test
+    --target cachestore_test cachestore_kill_test cache_eviction_oracle_test
   ctest --test-dir "$repo_root/build-store-sanitize" \
-    -R '^(cachestore_test|cachestore_kill_test)$' \
+    -R '^(cachestore_test|cachestore_kill_test|cache_eviction_oracle_test)$' \
     --output-on-failure -j "$jobs"
   echo "cachestore leg ok"
 }
